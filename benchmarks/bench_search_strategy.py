@@ -68,14 +68,14 @@ def test_search_strategies(report, benchmark):
     )
 
 
-def test_portfolio_and_caches(report):
+def test_sessions_and_caches(report):
     """E9b — the staged-session machinery vs the paper's plain binary search.
 
     Compares sequential binary search with every cache disabled (the
-    pre-session behaviour) against binary/portfolio with the CNF-prefix
-    and saturation caches on.  All configurations must agree on the
-    optimum and its proof; the caches and the portfolio's loser
-    cancellation only change where the time goes.
+    pre-session behaviour) against binary and linear search with the
+    CNF-prefix and saturation caches on.  All configurations must agree
+    on the optimum and its proof; the caches only change where the time
+    goes.
     """
     global_saturation_cache().clear()
 
@@ -85,14 +85,14 @@ def test_portfolio_and_caches(report):
         enable_cnf_prefix_cache=False,
     )
     cached_binary = _run(SearchStrategy.BINARY)
-    portfolio = _run(SearchStrategy.PORTFOLIO)
-    portfolio_warm = _run(SearchStrategy.PORTFOLIO)
+    binary_warm = _run(SearchStrategy.BINARY)
+    linear_warm = _run(SearchStrategy.LINEAR)
 
     runs = [
         ("binary, caches off (baseline)", baseline),
         ("binary, caches on", cached_binary),
-        ("portfolio, caches on", portfolio),
-        ("portfolio, warm saturation cache", portfolio_warm),
+        ("binary, warm saturation cache", binary_warm),
+        ("linear, warm saturation cache", linear_warm),
     ]
     for _name, result in runs:
         assert result.cycles == baseline.cycles
@@ -101,11 +101,12 @@ def test_portfolio_and_caches(report):
     # The cache-enabled runs share one deterministic encoding, so they
     # agree to the byte.  (The baseline's plain encoder numbers variables
     # differently and may extract a different equally-optimal model.)
-    assert portfolio.assembly == cached_binary.assembly
-    assert portfolio_warm.assembly == portfolio.assembly
+    assert binary_warm.assembly == cached_binary.assembly
+    assert linear_warm.assembly == cached_binary.assembly
 
-    # The warm run served saturation from the cross-compilation cache.
-    assert portfolio_warm.stats.cache["saturation_hits"] == 1
+    # The warm runs served saturation from the cross-compilation cache.
+    assert binary_warm.stats.cache["saturation_hits"] == 1
+    assert linear_warm.stats.cache["saturation_hits"] == 1
     # The cached binary search rebuilt strictly fewer CNF cycle blocks
     # than it encoded (the shared prefix was reused between probes).
     assert cached_binary.stats.cache["cnf_prefix_cycles_reused"] > 0

@@ -59,7 +59,7 @@ from repro.core import (
 from repro.sim import execute_schedule, simulate_timing
 from repro.verify import check_schedule
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 __all__ = [
     "Memory",

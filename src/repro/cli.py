@@ -78,10 +78,10 @@ def _add_pipeline_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--strategy",
-        choices=["binary", "linear", "portfolio"],
+        choices=["binary", "linear"],
         default="binary",
-        help="cycle-budget search strategy (portfolio probes budgets "
-        "concurrently and cancels losers)",
+        help="cycle-budget search strategy: the paper's binary search, "
+        "or linear escalation K = lo, lo+1, ... until SAT",
     )
     parser.add_argument(
         "--backend",
@@ -225,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
 def build_serve_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro serve",
-        description="run the compilation service (JSON over HTTP)",
+        description="run the compilation service: a fabric node serving "
+        "JSON over HTTP (one node unless --peers names others)",
     )
     parser.add_argument(
         "--version", action="version", version="repro %s" % __version__
@@ -262,17 +263,11 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--verbose", action="store_true", help="log every HTTP request"
     )
     parser.add_argument(
-        "--fabric",
-        action="store_true",
-        help="serve as a fabric node: asyncio front end, consistent-hash "
-        "sharding over --peers, result gossip, load shedding",
-    )
-    parser.add_argument(
         "--peers",
         default=None,
         metavar="URLS",
-        help="comma-separated URLs of other fabric nodes (implies "
-        "--fabric)",
+        help="comma-separated URLs of other fabric nodes to join "
+        "(default: none, a one-node fabric)",
     )
     parser.add_argument(
         "--max-queue",
@@ -670,34 +665,6 @@ def _compile_main(argv: List[str]) -> int:
 
 def _serve_main(argv: List[str]) -> int:
     args = build_serve_parser().parse_args(argv)
-    if args.fabric or args.peers:
-        return _serve_fabric(args)
-    from repro.service import CompilationEngine, ResultStore, ServiceServer
-
-    engine = CompilationEngine(
-        workers=args.workers,
-        store=ResultStore(args.store),
-        max_retries=args.max_retries,
-        default_timeout=args.job_timeout,
-    )
-    server = ServiceServer(
-        engine, host=args.host, port=args.port, verbose=args.verbose
-    )
-    print(
-        "repro service listening on %s (%d workers, store=%s)"
-        % (server.url, args.workers, args.store or "memory"),
-        file=sys.stderr,
-    )
-    try:
-        server.serve_until_shutdown()
-    except KeyboardInterrupt:
-        print("draining...", file=sys.stderr)
-        server.stop()
-        return EXIT_INTERRUPTED
-    return EXIT_OK
-
-
-def _serve_fabric(args) -> int:
     from repro.fabric import FabricNode
 
     peers = [
@@ -816,14 +783,10 @@ def _batch_main(argv: List[str]) -> int:
 
 
 def _batch_remote(args, specs) -> int:
-    from repro.service import ServiceClient, ServiceError
+    from repro.fabric import FabricClient
+    from repro.service import ServiceError
 
-    client = ServiceClient(args.url)
-    # A fabric node answers /v1/fabric/ring; route on the ring if so.
-    from repro.fabric import FabricClient, is_fabric
-
-    if is_fabric(client):
-        client = FabricClient(args.url, shed_retries=3)
+    client = FabricClient(args.url, shed_retries=3)
     status = EXIT_OK
     try:
         ids = client.submit(specs)

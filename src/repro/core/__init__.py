@@ -19,7 +19,6 @@ from repro.core.moves import (
 from repro.core.probes import (
     BinaryScheduler,
     LinearScheduler,
-    PortfolioScheduler,
     Probe,
     ProbeScheduler,
     SearchOutcome,
@@ -62,7 +61,6 @@ __all__ = [
     "sequentialize_parallel_moves",
     "BinaryScheduler",
     "LinearScheduler",
-    "PortfolioScheduler",
     "Probe",
     "ProbeScheduler",
     "SearchOutcome",

@@ -15,10 +15,6 @@ some care:
 * registers are assigned afresh per launch (the prototype "ignores register
   allocation", section 3), inputs following the target's calling convention
   (:attr:`~repro.isa.spec.ArchSpec.regs`).
-
-This module was named ``repro.core.extraction`` until the optimal-extraction
-package :mod:`repro.extraction` arrived; the old name survives one release
-as a deprecation shim.
 """
 
 from __future__ import annotations

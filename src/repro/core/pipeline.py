@@ -61,8 +61,6 @@ class DenaliConfig:
     bind_outputs: bool = False
     # Abandon a probe (satisfiable=None) after this much wall-clock.
     solver_deadline_seconds: Optional[float] = None
-    # Worker threads for the PORTFOLIO strategy (None = min(4, budgets)).
-    portfolio_workers: Optional[int] = None
     # Serve saturated E-graphs from the process-wide cache when the same
     # goals/axioms/config were saturated before.
     enable_saturation_cache: bool = True

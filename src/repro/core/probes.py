@@ -7,18 +7,13 @@ module generalises the search into pluggable :class:`ProbeScheduler`
 strategies:
 
 * :class:`BinaryScheduler` — the paper's binary search;
-* :class:`LinearScheduler` — escalate K = lo, lo+1, ... until SAT;
-* :class:`PortfolioScheduler` — launch several budgets concurrently on a
-  thread pool and cancel probes made redundant by other probes' answers
-  (a SAT answer at K makes every K' > K a loser; an UNSAT answer at K
-  makes every K' < K a loser, by the monotonicity the paper's binary
-  search already relies on).
+* :class:`LinearScheduler` — escalate K = lo, lo+1, ... until SAT.
 
-All schedulers share the satisfiability-monotonicity assumption: adding a
-cycle to the budget never makes a feasible goal infeasible.  Probes that
-return ``None`` (solver budget exhausted) are treated conservatively: the
-budget is neither raised as a floor nor accepted, so ``optimal`` is never
-claimed across an unknown gap.
+Both probe one budget at a time, and both rely on satisfiability
+monotonicity: adding a cycle to the budget never makes a feasible goal
+infeasible.  Probes that return ``None`` (solver budget exhausted) are
+treated conservatively: the budget is neither raised as a floor nor
+accepted, so ``optimal`` is never claimed across an unknown gap.
 """
 
 from __future__ import annotations
@@ -32,7 +27,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 class SearchStrategy(enum.Enum):
     BINARY = "binary"
     LINEAR = "linear"  # try K = lo, lo+1, ... until SAT
-    PORTFOLIO = "portfolio"  # concurrent probes with loser cancellation
 
 
 @dataclass
@@ -102,11 +96,11 @@ class SearchOutcome:
 
 
 class CancelToken:
-    """Cooperative cancellation handle passed to portfolio probes.
+    """Cooperative cancellation handle shared by :class:`BackendRace`.
 
-    A probe's solver polls :meth:`is_set` (via the solver's ``stop_check``
-    hook) and abandons the run with an unknown answer when another probe
-    has made this budget redundant.
+    A contestant polls :meth:`is_set` (the SAT side through the solver's
+    ``stop_check`` hook) and abandons its run once another contestant
+    has reported a verified schedule.
     """
 
     __slots__ = ("_event",)
@@ -123,14 +117,16 @@ class CancelToken:
     __call__ = is_set
 
 
-# probe(k) -> (satisfiable, payload, stats).  Schedulers that cancel pass a
-# CancelToken through the optional second argument; probes that ignore it
-# simply run to completion.
-ProbeFn = Callable[..., Tuple[Optional[bool], object, Probe]]
+# probe(k) -> (satisfiable, payload, stats).
+ProbeFn = Callable[[int], Tuple[Optional[bool], object, Probe]]
 
 
 class ProbeScheduler:
-    """Strategy interface: decide which budgets to probe, in what order."""
+    """Strategy interface: decide which budgets to probe, in what order.
+
+    Subclasses probe one budget at a time and share the bookkeeping in
+    :meth:`_run`.
+    """
 
     name = "abstract"
 
@@ -141,10 +137,6 @@ class ProbeScheduler:
     def _validate(lo: int, hi: int) -> None:
         if lo < 1 or hi < lo:
             raise ValueError("need 1 <= lo <= hi")
-
-
-class _SequentialScheduler(ProbeScheduler):
-    """Shared bookkeeping for the one-probe-at-a-time strategies."""
 
     def _run(self, outcome: SearchOutcome, probe: ProbeFn, k: int):
         sat, payload, stats = probe(k)
@@ -158,7 +150,7 @@ class _SequentialScheduler(ProbeScheduler):
         return sat
 
 
-class LinearScheduler(_SequentialScheduler):
+class LinearScheduler(ProbeScheduler):
     name = "linear"
 
     def search(self, probe: ProbeFn, lo: int, hi: int) -> SearchOutcome:
@@ -170,7 +162,7 @@ class LinearScheduler(_SequentialScheduler):
         return outcome
 
 
-class BinaryScheduler(_SequentialScheduler):
+class BinaryScheduler(ProbeScheduler):
     name = "binary"
 
     def search(self, probe: ProbeFn, lo: int, hi: int) -> SearchOutcome:
@@ -183,93 +175,11 @@ class BinaryScheduler(_SequentialScheduler):
             sat = self._run(outcome, probe, mid)
             if sat:
                 high = mid - 1
-            elif sat is False:
-                low = mid + 1
-            else:  # unknown: cannot trust mid as floor; shrink from above
-                low = mid + 1
-        return outcome
-
-
-class PortfolioScheduler(ProbeScheduler):
-    """Probe several budgets concurrently; cancel probes other answers
-    make redundant.
-
-    Every budget in ``[lo, hi]`` is submitted to a thread pool.  When a
-    budget K answers SAT, all pending/running budgets above K are
-    cancelled (they can only yield worse schedules); when K answers
-    UNSAT, all budgets below K are cancelled (monotonicity makes them
-    UNSAT too, exactly the inference binary search performs when it never
-    revisits budgets below an UNSAT midpoint).  Budgets between the
-    proved floor and the current best are left running so the minimum is
-    still resolved exactly — the returned ``best_cycles`` matches the
-    sequential strategies'.
-    """
-
-    name = "portfolio"
-
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        self.max_workers = max_workers
-
-    def search(self, probe: ProbeFn, lo: int, hi: int) -> SearchOutcome:
-        from concurrent.futures import ThreadPoolExecutor, as_completed
-
-        self._validate(lo, hi)
-        outcome = SearchOutcome(best_cycles=None, proved_floor=lo - 1)
-        budgets = list(range(lo, hi + 1))
-        if len(budgets) == 1:
-            return LinearScheduler().search(probe, lo, hi)
-
-        tokens = {k: CancelToken() for k in budgets}
-        lock = threading.Lock()
-        # Guarded by ``lock``: the best SAT budget seen and the proved floor.
-        state = {"best": None, "floor": lo - 1}
-
-        def on_answer(k: int, sat: Optional[bool]) -> None:
-            with lock:
-                if sat and (state["best"] is None or k < state["best"]):
-                    state["best"] = k
-                    for other in budgets:
-                        if other > k:
-                            tokens[other].cancel()
-                elif sat is False and k > state["floor"]:
-                    state["floor"] = k
-                    for other in budgets:
-                        if other < k:
-                            tokens[other].cancel()
-
-        def worker(k: int):
-            token = tokens[k]
-            if token.is_set():
-                return k, None, None, Probe(
-                    cycles=k, satisfiable=None, cancelled=True
-                )
-            sat, payload, stats = probe(k, token)
-            if sat is None and token.is_set():
-                stats.cancelled = True
             else:
-                on_answer(k, sat)
-            return k, sat, payload, stats
-
-        workers = self.max_workers or min(4, len(budgets))
-        results = {}
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(worker, k) for k in budgets]
-            for future in as_completed(futures):
-                k, sat, payload, stats = future.result()
-                results[k] = (sat, payload, stats)
-
-        for k in budgets:
-            sat, payload, stats = results[k]
-            outcome.probes.append(stats)
-            if sat:
-                if outcome.best_cycles is None or k < outcome.best_cycles:
-                    outcome.best_cycles = k
-                    outcome.best_payload = payload
-            elif sat is False:
-                outcome.proved_floor = max(outcome.proved_floor, k)
-        # Budgets cancelled below an explicit UNSAT answer are UNSAT by
-        # monotonicity; reflect the strongest floor actually proved.
-        outcome.proved_floor = max(outcome.proved_floor, state["floor"])
+                # UNSAT or unknown: move up past mid.  Only an UNSAT answer
+                # raised proved_floor, so an unknown mid leaves a gap that
+                # keeps ``optimal`` false.
+                low = mid + 1
         return outcome
 
 
@@ -288,9 +198,7 @@ class RaceEntry:
 class BackendRace:
     """Race heterogeneous backends; the first verified winner cancels the rest.
 
-    This generalises :class:`PortfolioScheduler`'s loser-cancellation from
-    cycle budgets of one encoding to whole search strategies: each
-    contestant is a callable ``fn(token) -> RaceEntry`` that polls the
+    Each contestant is a callable ``fn(token) -> RaceEntry`` that polls the
     shared :class:`CancelToken` and returns what it found.  The moment a
     contestant reports a *verified* schedule the token is set, so the
     losers abandon their runs cooperatively; contestants that merely
@@ -341,16 +249,11 @@ class BackendRace:
 _SCHEDULERS = {
     SearchStrategy.BINARY: BinaryScheduler,
     SearchStrategy.LINEAR: LinearScheduler,
-    SearchStrategy.PORTFOLIO: PortfolioScheduler,
 }
 
 
-def get_scheduler(
-    strategy: SearchStrategy, max_workers: Optional[int] = None
-) -> ProbeScheduler:
+def get_scheduler(strategy: SearchStrategy) -> ProbeScheduler:
     """Instantiate the scheduler for ``strategy``."""
-    if strategy == SearchStrategy.PORTFOLIO:
-        return PortfolioScheduler(max_workers=max_workers)
     return _SCHEDULERS[strategy]()
 
 
@@ -365,7 +268,8 @@ def search_min_cycles(
     ``probe`` returns ``(satisfiable, payload, stats)``; payload of the best
     SAT probe (e.g. the decoded model) is kept.  Probes returning ``None``
     (solver budget exhausted) are treated conservatively: the budget is
-    neither raised as a floor nor accepted, and the search narrows from
-    above only.
+    neither raised as a floor nor accepted.  Binary search then moves its
+    lower bound past the unknown budget (``low = mid + 1``), the same
+    step an UNSAT answer takes, so ``optimal`` stays false across the gap.
     """
     return get_scheduler(strategy).search(probe, lo, hi)

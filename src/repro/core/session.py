@@ -5,7 +5,7 @@ single GMA as explicit, observable stages — **saturation** (matcher +
 axioms, served from the cross-compilation saturation cache when the same
 goals were saturated before), **encode** (per-budget CNF, sharing the
 budget-independent prefix across probes), **sat** (the CDCL solver, with
-deadline/cancellation plumbing for the portfolio scheduler), **extract**
+deadline plumbing and the race backend's external stop), **extract**
 (model decoding) and **verify** (differential checking) — and threads a
 :class:`StageStats` record through them.
 
@@ -334,9 +334,8 @@ class CompilationSession:
         self.config = denali.config
         self.gma = gma
         self.stats = StageStats(label=label, strategy=self.config.strategy.value)
-        # An extra stop signal combined into every probe's stop_check —
-        # this is how a losing race contestant is cancelled from outside
-        # the session's own scheduler.
+        # Every probe's and the exact refiner's stop_check — this is how
+        # a losing race contestant is cancelled from outside the session.
         self.external_stop: Optional[Callable[[], bool]] = None
         self._lock = threading.Lock()  # guards the E-graph + encoder
         self._encoder: Optional[IncrementalEncoder] = None
@@ -345,17 +344,6 @@ class CompilationSession:
         self._solver: Optional[IncrementalSolver] = None
         self._fed_clauses = 0  # master clauses already handed to the solver
         self._fed_budgets: set = set()
-
-    def _stop(
-        self, cancel: Optional[Callable[[], bool]]
-    ) -> Optional[Callable[[], bool]]:
-        """Combine a scheduler's cancel token with the session-level stop."""
-        ext = self.external_stop
-        if ext is None:
-            return cancel
-        if cancel is None:
-            return ext
-        return lambda: bool(cancel()) or bool(ext())
 
     # -- stage 1: saturation -------------------------------------------------
 
@@ -446,7 +434,7 @@ class CompilationSession:
                     self._fed_clauses = 0
                     self._fed_budgets = set()
 
-        def probe_incremental(k: int, cancel=None):
+        def probe_incremental(k: int):
             p = Probe(cycles=k, satisfiable=None, solver="incremental")
             enc, solver = self._encoder, self._solver
             t0 = time.perf_counter()
@@ -457,8 +445,7 @@ class CompilationSession:
                 self.stats.cache["cnf_prefix_cycles_built"] += k - reused
                 # Feed the solver everything it has not seen yet: the new
                 # master (cycle-block) clauses, then this budget's gated
-                # suffix.  Both are root-level adds; the solver's own lock
-                # makes them wait for any in-flight portfolio solve.
+                # suffix.  Both are root-level adds.
                 solver.ensure_vars(enc.master.num_vars)
                 master_clauses = enc.master.clauses
                 if self._fed_clauses < len(master_clauses):
@@ -484,7 +471,7 @@ class CompilationSession:
                 k,
                 conflict_budget=cfg.solver_conflict_budget,
                 deadline_seconds=cfg.solver_deadline_seconds,
-                stop_check=self._stop(cancel),
+                stop_check=self.external_stop,
                 canonical_model=True,
             )
             p.satisfiable = res.satisfiable
@@ -514,7 +501,7 @@ class CompilationSession:
                 )
             return res.satisfiable, payload, p
 
-        def probe_scratch(k: int, cancel=None):
+        def probe_scratch(k: int):
             p = Probe(cycles=k, satisfiable=None)
             t0 = time.perf_counter()
             with self._lock:
@@ -541,7 +528,7 @@ class CompilationSession:
             solver = CdclSolver(
                 conflict_budget=cfg.solver_conflict_budget,
                 deadline_seconds=cfg.solver_deadline_seconds,
-                stop_check=self._stop(cancel),
+                stop_check=self.external_stop,
             )
             res = solver.solve(encoding.cnf, canonical_model=True)
             if solver.last_flat_counters is not None:
@@ -590,9 +577,7 @@ class CompilationSession:
 
     def search(self, probe, lo: int, hi: int) -> SearchOutcome:
         """Run the configured probe scheduler over ``[lo, hi]``."""
-        cfg = self.config
-        scheduler = get_scheduler(cfg.strategy, cfg.portfolio_workers)
-        outcome = scheduler.search(probe, lo, hi)
+        outcome = get_scheduler(self.config.strategy).search(probe, lo, hi)
         self.stats.probes = outcome.probes
         self.stats.best_cycles = outcome.best_cycles
         self.stats.optimal = outcome.optimal
@@ -607,7 +592,6 @@ class CompilationSession:
         cycles: Optional[int],
         input_registers: Dict[str, str],
         overrides: Optional[Dict[ENode, int]] = None,
-        cancel: Optional[Callable[[], bool]] = None,
     ):
         """Minimise the schedule's selected-term cost (``extraction=exact``).
 
@@ -679,7 +663,7 @@ class CompilationSession:
                     saturation=self.stats.saturation,
                     conflict_budget=cfg.extraction_conflict_budget,
                     max_solves=cfg.extraction_max_solves,
-                    stop_check=self._stop(cancel),
+                    stop_check=self.external_stop,
                 )
         self.stats.extraction = record
         if memo is not None and key is not None:

@@ -4,12 +4,6 @@ from __future__ import annotations
 
 from typing import Iterable, List
 
-from repro.util.soa import numpy_or_none
-
-# Bulk finds switch to the vectorised whole-forest compression once the
-# query batch is large enough to amortise the array round-trip.
-_NUMPY_BULK_THRESHOLD = 512
-
 
 class UnionFind:
     """A standard union-find over dense integer ids.
@@ -53,26 +47,9 @@ class UnionFind:
         """Roots for every id in ``xs`` (bulk :meth:`find`).
 
         Functionally ``[self.find(x) for x in xs]``, with the per-call
-        overhead hoisted out of the loop.  When numpy is available and
-        the batch is large, the whole forest is compressed first by
-        vectorised pointer jumping — after that every query is a single
-        parent lookup, and later scalar finds benefit from the flattened
-        forest too.  Results are identical either way.
+        overhead hoisted out of the loop.
         """
         parent = self._parent
-        if not isinstance(xs, (list, tuple)):
-            xs = list(xs)
-        np = numpy_or_none()
-        if np is not None and len(xs) >= _NUMPY_BULK_THRESHOLD and parent:
-            arr = np.array(parent, dtype=np.int64)
-            while True:
-                jumped = arr[arr]
-                if np.array_equal(jumped, arr):
-                    break
-                arr = jumped
-            self._parent[:] = arr.tolist()
-            parent = self._parent
-            return [parent[x] for x in xs]
         out = []
         append = out.append
         for x in xs:

@@ -126,34 +126,6 @@ class FabricClient(ServiceClient):
             self.ring(refresh=True)
             return self._request(path, base=self.url)
 
-    def status(self, job_id: str) -> Dict[str, Any]:
-        return self._job_request(job_id, "/v1/jobs/%s" % job_id)
-
-    def result(
-        self,
-        job_id: str,
-        wait: bool = True,
-        poll: float = 0.1,
-        timeout: Optional[float] = 120.0,
-    ) -> Dict[str, Any]:
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            payload = self._job_request(
-                job_id, "/v1/jobs/%s/result" % job_id
-            )
-            if payload.get("_http_status") != 202:
-                if payload.get("state") != "done":
-                    raise ServiceError(
-                        "job %s %s: %s"
-                        % (job_id, payload.get("state"), payload.get("error"))
-                    )
-                return payload
-            if not wait:
-                return payload
-            if deadline is not None and time.monotonic() > deadline:
-                raise ServiceError("timed out waiting for job %s" % job_id)
-            time.sleep(poll)
-
     def metrics(self) -> Dict[str, Any]:
         """Fabric-wide metrics: node payloads plus summed counters.
 
@@ -215,12 +187,3 @@ class FabricClient(ServiceClient):
                 self._request("/v1/shutdown", body={}, base=url)
             except ServiceError:
                 continue
-
-
-def is_fabric(client: ServiceClient) -> bool:
-    """Does ``client.url`` front a fabric node (vs the blocking server)?"""
-    try:
-        payload = client._request("/v1/fabric/ring")
-    except ServiceError:
-        return False
-    return payload.get("_http_status") == 200 and "nodes" in payload

@@ -8,7 +8,7 @@ the answers agree (:mod:`repro.fuzz.oracles`):
 * emitted assembly, executed on the EV6 simulator, vs the reference
   term evaluator;
 * the incremental SAT path vs a from-scratch solver, byte-for-byte;
-* all three probe strategies (binary / linear / portfolio);
+* both probe strategies (binary / linear);
 * brute-force baseline output on small goals.
 
 Failures are delta-debugged to minimal reproducers

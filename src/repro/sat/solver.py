@@ -1139,8 +1139,8 @@ class CdclSolver:
             propagation can overshoot slightly.
         stop_check: zero-argument callable polled periodically at
             conflicts and decisions; returning True abandons the run with
-            ``satisfiable=None``.  This is how the portfolio probe
-            scheduler cancels losing probes.
+            ``satisfiable=None``.  This is how the backend race cancels
+            a losing SAT ladder.
     """
 
     def __init__(

@@ -1,4 +1,4 @@
-"""The compilation service: a long-lived, batch-oriented front end.
+"""The compilation service: a long-lived, batch-oriented engine.
 
 The one-shot CLI pays full cold start (interpreter launch, axiom
 compilation, E-graph saturation) on every invocation.  This package
@@ -15,13 +15,16 @@ subsystem with three layers:
   sqlite store, so warm results and compiled axiom corpora survive
   process restarts; identical in-flight requests are coalesced so each
   distinct goal compiles once;
-* **front end** (:mod:`repro.service.server`,
-  :mod:`repro.service.client`) — a stdlib-only JSON-over-HTTP server
-  exposing submit/status/result/metrics endpoints, and the matching
-  client used by ``repro batch --url``.
+* **HTTP client** (:mod:`repro.service.client`) — a stdlib-only
+  JSON-over-HTTP client for the submit/status/result/metrics endpoints.
+  Fabric nodes use it to talk to their peers, and
+  :class:`~repro.fabric.client.FabricClient` extends it for
+  ``repro batch --url``.
 
-The CLI verbs ``repro serve`` and ``repro batch`` are thin wrappers over
-these layers.
+The HTTP front end itself is a :class:`~repro.fabric.node.FabricNode`
+(a one-node fabric when it has no peers).  The CLI verbs ``repro
+serve`` and ``repro batch`` are thin wrappers over these layers and the
+fabric.
 """
 
 from repro.service.jobs import (
@@ -40,7 +43,6 @@ from repro.service.client import (
     ServiceError,
     ServiceOverloadError,
 )
-from repro.service.server import ServiceServer
 
 __all__ = [
     "CompilationEngine",
@@ -55,5 +57,4 @@ __all__ = [
     "ServiceClient",
     "ServiceError",
     "ServiceOverloadError",
-    "ServiceServer",
 ]

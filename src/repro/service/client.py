@@ -1,8 +1,9 @@
 """Stdlib HTTP client for the compilation service.
 
-Used by ``repro batch --url`` and the service tests; no dependencies
-beyond ``http.client``.  Connections are **kept alive** and reused
-across requests (one pool per thread, so a multi-threaded soak driver
+Used between fabric nodes, as the base of
+:class:`~repro.fabric.client.FabricClient`, and by the service tests; no
+dependencies beyond ``http.client``.  Connections are **kept alive** and
+reused across requests (one pool per thread, so a multi-threaded soak driver
 never shares a socket), with ``TCP_NODELAY`` set so small JSON requests
 don't stall on Nagle/delayed-ACK.  Transient connection resets — the
 server recycling an idle keep-alive socket, a node restarting — are
@@ -57,7 +58,7 @@ class ServiceOverloadError(ServiceError):
 
 
 class ServiceClient:
-    """Talks JSON to a :class:`~repro.service.server.ServiceServer`.
+    """Talks JSON to a fabric node (:class:`~repro.fabric.node.FabricNode`).
 
     Args:
         url: base URL, e.g. ``http://127.0.0.1:8642``.
@@ -216,8 +217,12 @@ class ServiceClient:
         body = {"jobs": [spec.to_dict() for spec in specs]}
         return self._request("/v1/submit", body)["ids"]
 
+    def _job_request(self, job_id: str, path: str) -> Dict[str, Any]:
+        """GET a per-job route (a routing hook for subclasses)."""
+        return self._request(path)
+
     def status(self, job_id: str) -> Dict[str, Any]:
-        return self._request("/v1/jobs/%s" % job_id)
+        return self._job_request(job_id, "/v1/jobs/%s" % job_id)
 
     def result(
         self,
@@ -234,7 +239,9 @@ class ServiceClient:
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
-            payload = self._request("/v1/jobs/%s/result" % job_id)
+            payload = self._job_request(
+                job_id, "/v1/jobs/%s/result" % job_id
+            )
             if payload.get("_http_status") != 202:
                 if payload.get("state") != "done":
                     raise ServiceError(

@@ -88,7 +88,41 @@ class JobSpec:
         unknown = set(data) - known
         if unknown:
             raise JobError("unknown job spec fields: %s" % sorted(unknown))
-        return cls(**data)
+        spec = cls(**data)
+        spec.validate()
+        return spec
+
+    def validate(self) -> None:
+        """Reject option values the compile would only fail on later.
+
+        Called on every spec that arrives as data, so a bad value is a
+        400 at ``/v1/submit`` rather than a failed job.
+        """
+        from repro.core.pipeline import BACKENDS, EXTRACTION_MODES
+        from repro.core.probes import SearchStrategy
+        from repro.isa.targets import get_target
+
+        choices = (
+            ("strategy", tuple(s.value for s in SearchStrategy)),
+            ("backend", BACKENDS),
+            ("extraction", EXTRACTION_MODES),
+        )
+        for name, allowed in choices:
+            value = getattr(self, name)
+            if value not in allowed:
+                raise JobError(
+                    "unknown %s %r (expected one of %s)"
+                    % (name, value, ", ".join(allowed))
+                )
+        try:
+            get_target(self.arch)
+        except (KeyError, TypeError):
+            raise JobError("unknown arch %r" % (self.arch,))
+        if not 1 <= self.min_cycles <= self.max_cycles:
+            raise JobError(
+                "need 1 <= min_cycles <= max_cycles, got %r and %r"
+                % (self.min_cycles, self.max_cycles)
+            )
 
 
 # Fields that change what a compilation produces.  ``name`` (display
@@ -172,11 +206,8 @@ def run_job(spec_dict: Dict[str, Any]) -> Dict[str, Any]:
 def _build_spec(spec: JobSpec):
     from repro.isa.targets import get_target
 
-    try:
-        target = get_target(spec.arch)
-    except KeyError:
-        raise JobError("unknown arch %r" % spec.arch)
-    return target.spec(load_latency=spec.load_latency)
+    # ``arch`` was checked by JobSpec.validate when the spec arrived.
+    return get_target(spec.arch).spec(load_latency=spec.load_latency)
 
 
 def _compile(spec: JobSpec) -> Dict[str, Any]:

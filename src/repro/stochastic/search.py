@@ -14,7 +14,7 @@ the session seed, the search seed and the chain index; no wall-clock value
 influences a search decision, so a fixed-seed run reproduces the same best
 schedule and the same statistics (modulo timing fields).  Cooperative
 cancellation (``stop_check``/deadline, polled once per move slice) only
-truncates the walk — it is how the portfolio race cancels the losing
+truncates the walk — it is how the backend race cancels the losing
 backend.
 """
 

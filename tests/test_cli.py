@@ -286,20 +286,19 @@ class TestServiceVerbs:
         assert status == 1
 
     def test_batch_against_running_server(self, source_file, capsys):
-        from repro.service import CompilationEngine, ServiceServer
+        from repro.fabric import FabricNode
 
-        engine = CompilationEngine(workers=1)
-        server = ServiceServer(engine, port=0)
-        server.start()
+        node = FabricNode(workers=1)
+        node.start()
         try:
             status = main(["batch", source_file(SIMPLE), "--quiet",
                            "--strategy", "linear", "--max-cycles", "10",
-                           "--url", server.url])
+                           "--url", node.url])
             out = capsys.readouterr().out
             assert status == 0
             assert "s4addq" in out
         finally:
-            server.stop(drain=False)
+            node.stop(drain=False)
 
     def test_batch_unreachable_server_fails(self, source_file, capsys):
         status = main(["batch", source_file(SIMPLE),

@@ -14,13 +14,11 @@ import time
 
 import pytest
 
-from repro.fabric import FabricClient, FabricNode, is_fabric
+from repro.fabric import FabricClient, FabricNode
 from repro.service import (
-    CompilationEngine,
     JobSpec,
     ServiceClient,
     ServiceOverloadError,
-    ServiceServer,
     default_corpus_key,
     job_fingerprint,
 )
@@ -113,20 +111,6 @@ class TestSingleNode:
             assert "/healthz" in fabric["endpoints"]
         finally:
             client.close()
-
-    def test_is_fabric_discriminates(self, node):
-        fabric_probe = ServiceClient(node.url)
-        engine = CompilationEngine(workers=1)
-        server = ServiceServer(engine)
-        server.start()
-        blocking_probe = ServiceClient(server.url)
-        try:
-            assert is_fabric(fabric_probe) is True
-            assert is_fabric(blocking_probe) is False
-        finally:
-            blocking_probe.close()
-            fabric_probe.close()
-            server.stop(drain=False)
 
     def test_unknown_job_and_route(self, node):
         client = ServiceClient(node.url)

@@ -32,7 +32,8 @@ class TestCheckCase:
         # Every enabled oracle with an eligible GMA actually compared.
         assert report.checks.get(ORACLE_ASM) == report.compiled
         assert report.checks.get(ORACLE_SOLVER) == report.compiled
-        assert report.checks.get(ORACLE_STRATEGY) == 2 * report.compiled
+        # One comparison per GMA: binary (the base) vs linear.
+        assert report.checks.get(ORACLE_STRATEGY) == report.compiled
 
     def test_accepts_raw_source(self):
         report = check_case(

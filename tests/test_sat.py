@@ -216,7 +216,7 @@ class TestSolverBasics:
 
 
 class TestSolverInterruption:
-    """The deadline / stop_check hooks used by the portfolio scheduler."""
+    """The deadline / stop_check hooks the backend race cancels through."""
 
     @staticmethod
     def _needs_decisions() -> CNF:

@@ -1,13 +1,11 @@
 """Tests for the cycle-budget search."""
 
-import threading
 import time
 
 import pytest
 
 from repro.core.probes import (
     CancelToken,
-    PortfolioScheduler,
     Probe,
     SearchStrategy,
     search_min_cycles,
@@ -122,97 +120,6 @@ class TestUnknownProbes:
         assert out.optimal
 
 
-def _portfolio_oracle(threshold, unknown_at=()):
-    """A thread-safe oracle for the portfolio scheduler (takes a token)."""
-
-    def probe(k, cancel=None):
-        if k in unknown_at:
-            return None, None, Probe(cycles=k, satisfiable=None)
-        sat = k >= threshold
-        payload = ("model", k) if sat else None
-        return sat, payload, Probe(cycles=k, satisfiable=sat)
-
-    return probe
-
-
-class TestPortfolioSearch:
-    @pytest.mark.parametrize("threshold", [1, 3, 5, 8, 12])
-    def test_matches_sequential_result(self, threshold):
-        out = search_min_cycles(
-            _portfolio_oracle(threshold), 1, 12, SearchStrategy.PORTFOLIO
-        )
-        seq = search_min_cycles(_oracle(threshold), 1, 12)
-        assert out.best_cycles == seq.best_cycles == threshold
-        assert out.best_payload == ("model", threshold)
-        assert out.optimal
-
-    def test_all_unsat(self):
-        out = search_min_cycles(
-            _portfolio_oracle(100), 1, 8, SearchStrategy.PORTFOLIO
-        )
-        assert out.best_cycles is None
-        assert out.proved_floor == 8
-
-    def test_unknown_gap_never_claims_optimal(self):
-        out = search_min_cycles(
-            _portfolio_oracle(6, unknown_at={5}), 1, 12,
-            SearchStrategy.PORTFOLIO,
-        )
-        assert out.best_cycles == 6
-        assert not out.optimal
-
-    def test_single_budget_falls_back_to_sequential(self):
-        out = search_min_cycles(
-            _portfolio_oracle(3), 3, 3, SearchStrategy.PORTFOLIO
-        )
-        assert out.best_cycles == 3
-        assert out.optimal
-
-    def test_cancels_losers_above_sat_answer(self):
-        threshold = 2
-        started = set()
-        start_lock = threading.Lock()
-
-        def probe(k, cancel=None):
-            with start_lock:
-                started.add(k)
-            if k <= threshold:
-                sat = k >= threshold
-                payload = ("model", k) if sat else None
-                return sat, payload, Probe(cycles=k, satisfiable=sat)
-            # Expensive large-budget probes: spin until cancelled.
-            deadline = time.time() + 5.0
-            while not (cancel is not None and cancel()):
-                if time.time() > deadline:  # pragma: no cover - safety net
-                    pytest.fail("probe at K=%d was never cancelled" % k)
-                time.sleep(0.001)
-            return None, None, Probe(cycles=k, satisfiable=None)
-
-        out = PortfolioScheduler(max_workers=8).search(probe, 1, 8)
-        assert out.best_cycles == 2
-        assert out.optimal  # K=1 was explicitly refuted
-        # Every losing budget was cancelled — whether pre-empted before
-        # its worker started or interrupted mid-probe via its token.
-        cancelled = {p.cycles for p in out.probes if p.cancelled}
-        assert cancelled == set(range(threshold + 1, 9))
-        assert all(k <= threshold or k in cancelled for k in started)
-
-    def test_slow_small_sat_budget_still_wins(self):
-        # K=3 answers SAT instantly; K=2 is SAT but slow.  The minimum
-        # must still be 2 — a faster larger budget never steals the win.
-        def probe(k, cancel=None):
-            if k == 2:
-                time.sleep(0.05)
-            sat = k >= 2
-            payload = ("model", k) if sat else None
-            return sat, payload, Probe(cycles=k, satisfiable=sat)
-
-        out = PortfolioScheduler(max_workers=3).search(probe, 1, 3)
-        assert out.best_cycles == 2
-        assert out.best_payload == ("model", 2)
-        assert out.optimal
-
-
 class TestCancelToken:
     def test_starts_clear_and_latches(self):
         token = CancelToken()
@@ -267,7 +174,6 @@ class TestPublicSurface:
             "ProbeScheduler",
             "LinearScheduler",
             "BinaryScheduler",
-            "PortfolioScheduler",
             "BackendRace",
             "RaceEntry",
             "get_scheduler",
@@ -276,9 +182,7 @@ class TestPublicSurface:
             assert hasattr(probes, name), name
 
     def test_strategy_values_are_the_cli_choices(self):
-        assert {s.value for s in SearchStrategy} == {
-            "binary", "linear", "portfolio"
-        }
+        assert {s.value for s in SearchStrategy} == {"binary", "linear"}
 
     def test_probe_to_dict_schema(self):
         probe = Probe(cycles=3, satisfiable=True)
@@ -304,9 +208,6 @@ class TestPublicSurface:
         assert isinstance(
             get_scheduler(SearchStrategy.LINEAR), LinearScheduler
         )
-        portfolio = get_scheduler(SearchStrategy.PORTFOLIO, max_workers=2)
-        assert isinstance(portfolio, PortfolioScheduler)
-        assert portfolio.max_workers == 2
 
     def test_backend_race_first_verified_wins_and_cancels(self):
         from repro.core.probes import BackendRace, RaceEntry

@@ -20,7 +20,6 @@ from repro.service import (
     JobState,
     ResultStore,
     ServiceClient,
-    ServiceServer,
     job_fingerprint,
     run_job,
 )
@@ -74,6 +73,12 @@ class TestJobSpec:
     def test_non_dict_rejected(self):
         with pytest.raises(JobError):
             JobSpec.from_dict(["not", "a", "dict"])
+
+    def test_every_target_alias_accepted(self):
+        from repro.isa.targets import target_names
+
+        for arch in target_names() + ("alpha", "riscv"):
+            assert JobSpec.from_dict({"arch": arch}).arch == arch
 
 
 class TestFingerprint:
@@ -267,15 +272,29 @@ class TestEngine:
 
 # -- HTTP front end ------------------------------------------------------------
 
+# One bad value per validated field: each must be refused when the spec
+# arrives as data (JobError, so HTTP 400 at /v1/submit), not fail later
+# in a worker.  "portfolio" is the strategy older clients may still send.
+INVALID_OPTIONS = [
+    ("strategy", "portfolio"),
+    ("backend", "quantum"),
+    ("extraction", "best"),
+    ("arch", "z80"),
+    ("max_cycles", 0),
+]
+
 
 @pytest.fixture
 def service():
-    engine = CompilationEngine(workers=1, max_retries=0)
-    server = ServiceServer(engine, port=0)
-    server.start()
-    client = ServiceClient(server.url, timeout=10.0)
+    """A plain client against a one-node fabric (the only HTTP front end)."""
+    from repro.fabric import FabricNode
+
+    node = FabricNode(workers=1, max_retries=0)
+    node.start()
+    client = ServiceClient(node.url, timeout=10.0)
     yield client
-    server.stop(drain=False)
+    client.close()
+    node.stop(drain=False)
 
 
 class TestHttpService:
@@ -299,20 +318,29 @@ class TestHttpService:
     def test_status_unknown_job_404(self, service):
         from repro.service import ServiceError
 
-        with pytest.raises(ServiceError):
+        with pytest.raises(ServiceError, match="HTTP 404"):
             service.status("job-9999")
 
     def test_malformed_submit_400(self, service):
         from repro.service import ServiceError
 
-        with pytest.raises(ServiceError):
+        with pytest.raises(ServiceError, match="HTTP 400"):
             service._request("/v1/submit", {"jobs": "nope"})
+
+    @pytest.mark.parametrize("field, value", INVALID_OPTIONS)
+    def test_invalid_option_submit_400(self, service, field, value):
+        from repro.service import ServiceError
+
+        data = compile_spec().to_dict()
+        data[field] = value
+        with pytest.raises(ServiceError, match="HTTP 400.*%s" % field):
+            service._request("/v1/submit", {"jobs": [data]})
 
     def test_failed_job_result_is_error(self, service):
         from repro.service import ServiceError
 
         ids = service.submit([JobSpec(kind="crash")])
-        with pytest.raises(ServiceError):
+        with pytest.raises(ServiceError, match="HTTP 500"):
             service.result(ids[0], timeout=30)
 
 
